@@ -377,10 +377,7 @@ def run_benchmark(
     sqlite_s, sqlite_decisions = run_stream(sqlite_engine, requests)
 
     # Semantics: all three backends must agree decision-for-decision,
-    # and the in-memory stores must end bit-identical.  (records_purged
-    # is compared only between the in-memory engines: the seed SQLite
-    # store double-counts records doomed by overlapping purge contexts,
-    # a quirk preserved for seed fidelity.)
+    # purge counts included, and the stores must end bit-identical.
     for naive_d, memory_d, sqlite_d in zip(
         naive_decisions, memory_decisions, sqlite_decisions
     ):
@@ -393,6 +390,7 @@ def run_benchmark(
             sqlite_d,
         )
         assert naive_d.records_purged == memory_d.records_purged
+        assert memory_d.records_purged == sqlite_d.records_purged
     assert store_digest(naive_store) == store_digest(memory_store)
     assert store_digest(memory_store) == store_digest(sqlite_store)
     sqlite_store.close()

@@ -5,9 +5,12 @@ trace pass-through over the wire, and the CLI scrape commands — the
 full path a Prometheus scrape job or an on-call engineer would take.
 """
 
+import socket
+
 import pytest
 
 from repro.api import open_pdp, open_server
+from repro.client._core import check_response
 from repro.core import (
     MMER,
     ContextName,
@@ -95,9 +98,15 @@ class TestMetricsVerb:
         assert "shards" in body and "perf" in body
 
     def test_unknown_format_is_protocol_error(self, traced_server):
-        with traced_server.client() as pdp:
-            with pytest.raises(ProtocolError):
-                pdp._call(protocol.OP_METRICS, retriable=True, format="xml")
+        # The client's verbs only ask for formats the server knows, so
+        # the unknown one goes out on a raw connection.
+        frame = protocol.request_frame(protocol.OP_METRICS, "m-1", format="xml")
+        address = (traced_server.host, traced_server.port)
+        with socket.create_connection(address, timeout=5.0) as sock:
+            sock.sendall(protocol.encode_frame(frame))
+            reply = protocol.decode_frame(sock.makefile("rb").readline())
+        with pytest.raises(ProtocolError):
+            check_response(reply, "m-1")
 
     def test_cli_metrics_scrape(self, traced_server, capsys):
         from repro.cli import main as cli_main
